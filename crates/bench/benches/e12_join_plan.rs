@@ -3,7 +3,7 @@
 //! (the Criterion companion to the report's candidates-scanned table).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rescue::datalog::{seminaive_ordered, Database, EvalBudget, JoinOrder, TermStore};
+use rescue::datalog::{seminaive_with, Database, EvalBudget, EvalOptions, JoinOrder, TermStore};
 use rescue::diagnosis::{unfolding_program, EncodeOptions};
 use rescue_bench::experiments::telecom_net;
 
@@ -25,7 +25,12 @@ fn bench(c: &mut Criterion) {
                 let mut store = TermStore::new();
                 let prog = unfolding_program(&net, &mut store, &EncodeOptions::default());
                 let mut db = Database::new();
-                seminaive_ordered(&prog, &mut store, &mut db, &budget, order).unwrap();
+                let options = EvalOptions {
+                    order,
+                    ..Default::default()
+                };
+                let collector = rescue::Collector::disabled();
+                seminaive_with(&prog, &mut store, &mut db, &budget, &options, &collector).unwrap();
                 db.total_facts()
             })
         });

@@ -5,7 +5,7 @@
 //! single-core runner they collapse to ≈1x.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rescue::datalog::{seminaive_opts, Database, EvalBudget, EvalOptions, TermStore};
+use rescue::datalog::{seminaive_with, Database, EvalBudget, EvalOptions, TermStore};
 use rescue::diagnosis::{unfolding_program, EncodeOptions};
 use rescue_bench::experiments::large_telecom_net;
 
@@ -24,12 +24,13 @@ fn bench(c: &mut Criterion) {
                 let mut store = TermStore::new();
                 let prog = unfolding_program(&net, &mut store, &EncodeOptions::default());
                 let mut db = Database::new();
-                seminaive_opts(
+                seminaive_with(
                     &prog,
                     &mut store,
                     &mut db,
                     &budget,
                     &EvalOptions::with_threads(threads),
+                    &rescue::Collector::disabled(),
                 )
                 .unwrap();
                 db.total_facts()

@@ -966,7 +966,7 @@ fn db_fingerprint(db: &Database, store: &TermStore) -> Vec<String> {
 /// join work; the `model identical` column is Theorem 2's guarantee that
 /// the reorder is invisible in the materialized unfolding.
 pub fn e12_join_plan() -> Table {
-    use rescue::datalog::{seminaive_ordered, EvalStats, JoinOrder};
+    use rescue::datalog::{seminaive_with, EvalOptions, EvalStats, JoinOrder};
     use rescue::diagnosis::{unfolding_program, EncodeOptions};
 
     let mut t = Table::new(
@@ -993,7 +993,19 @@ pub fn e12_join_plan() -> Table {
             ..Default::default()
         };
         let t0 = Instant::now();
-        let stats = seminaive_ordered(&prog, &mut store, &mut db, &budget, order).unwrap();
+        let options = EvalOptions {
+            order,
+            ..Default::default()
+        };
+        let stats = seminaive_with(
+            &prog,
+            &mut store,
+            &mut db,
+            &budget,
+            &options,
+            &rescue::Collector::disabled(),
+        )
+        .unwrap();
         let dt = t0.elapsed().as_micros() as f64 / 1000.0;
         (stats, dt, db_fingerprint(&db, &store))
     };
@@ -1153,7 +1165,7 @@ pub fn trace_profile() -> String {
 /// 1.5–3×; a single-core CI box still validates the determinism half of
 /// the claim, so only identity is asserted here.
 pub fn e14_parallel() -> Table {
-    use rescue::datalog::{seminaive_opts, EvalOptions, EvalStats};
+    use rescue::datalog::{seminaive_with, EvalOptions, EvalStats};
     use rescue::diagnosis::{unfolding_program, EncodeOptions};
 
     let mut t = Table::new(
@@ -1181,12 +1193,13 @@ pub fn e14_parallel() -> Table {
             ..Default::default()
         };
         let t0 = Instant::now();
-        let stats = seminaive_opts(
+        let stats = seminaive_with(
             &prog,
             &mut store,
             &mut db,
             &budget,
             &EvalOptions::with_threads(threads),
+            &rescue::Collector::disabled(),
         )
         .unwrap();
         let dt = t0.elapsed().as_micros() as f64 / 1000.0;
@@ -1418,7 +1431,7 @@ pub fn e16_online_latency() -> Table {
 /// reproduce the run's [`EvalStats`] totals *exactly* — the property that
 /// makes the profile trustworthy even when the event ring overflows.
 pub fn e17_profiler_overhead() -> Table {
-    use rescue::datalog::{seminaive_traced_opts, EvalOptions};
+    use rescue::datalog::{seminaive_with, EvalOptions};
     let mut t = Table::new(
         "e17",
         "Profiler overhead: collector off vs traced vs traced+profiled, and attribution exactness",
@@ -1452,13 +1465,13 @@ pub fn e17_profiler_overhead() -> Table {
             profile,
             ..EvalOptions::default()
         };
-        seminaive_traced_opts(
+        seminaive_with(
             &dp.program,
             &mut store,
             &mut db,
             &budget,
-            &collector,
             &options,
+            &collector,
         )
         .unwrap()
     };

@@ -267,7 +267,7 @@ fn diagnose_hidden(
     o: &Options,
     collector: &Collector,
 ) -> Result<rescue::Diagnosis, String> {
-    use rescue::datalog::{seminaive_traced_opts, Database, EvalBudget, EvalOptions, TermStore};
+    use rescue::datalog::{seminaive_with, Database, EvalBudget, EvalOptions, TermStore};
     let hidden: Vec<&str> = o.hidden.iter().map(String::as_str).collect();
     let spec = ExtendedSpec::from_sequence(alarms).with_hidden(&hidden, o.fuel.max(1));
     let mut store = TermStore::new();
@@ -277,13 +277,13 @@ fn diagnose_hidden(
         max_term_depth: Some(2 * (spec.max_events as u32 + 1) + 2),
         ..o.budget()
     };
-    seminaive_traced_opts(
+    seminaive_with(
         &ep.program,
         &mut store,
         &mut db,
         &budget,
-        collector,
         &EvalOptions::with_threads(o.threads),
+        collector,
     )
     .map_err(|e| e.to_string())?;
     Ok(complete_with_empty(

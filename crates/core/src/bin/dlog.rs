@@ -11,8 +11,8 @@
 use rescue::datalog as rescue_datalog;
 use rescue::qsq as rescue_qsq;
 use rescue_datalog::{
-    explain, naive, parse_atom, parse_program, seminaive, seminaive_stratified, Database,
-    EvalBudget, TermStore,
+    explain, filter_answers, naive, parse_atom, parse_program, seminaive, seminaive_stratified,
+    Database, EvalBudget, TermStore,
 };
 use std::process::ExitCode;
 
@@ -108,7 +108,7 @@ fn run() -> Result<(), String> {
                     _ => seminaive_stratified(&prog, &mut store, &mut db, &budget),
                 }
                 .map_err(|e| e.to_string())?;
-                let rows = rescue_qsq_filter(&db, &store, &query);
+                let rows = filter_answers(&db, &store, &query);
                 (
                     rows,
                     format!(
@@ -173,26 +173,4 @@ fn run() -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-/// Rows of the query relation matching the query pattern (bottom-up path).
-fn rescue_qsq_filter(
-    db: &Database,
-    store: &TermStore,
-    query: &rescue_datalog::Atom,
-) -> Vec<Vec<rescue_datalog::TermId>> {
-    match db.relation(query.pred) {
-        None => Vec::new(),
-        Some(rel) => rel
-            .rows()
-            .iter()
-            .filter(|row| {
-                let mut s = rescue_datalog::Subst::new();
-                row.iter()
-                    .zip(query.args.iter())
-                    .all(|(&g, &p)| store.match_term(p, g, &mut s))
-            })
-            .map(|row| row.to_vec())
-            .collect(),
-    }
 }

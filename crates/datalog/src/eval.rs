@@ -291,7 +291,7 @@ pub struct EvalOptions {
     /// pure performance knob.
     pub subplan_sharing: bool,
     /// Reuse compiled plans, sharing signatures, head-variable maps and
-    /// index requirements across fixpoints through an [`EvalCache`], keyed
+    /// index requirements across the resumes of an [`EvalSession`], keyed
     /// on `(program fingerprint, order, sip_filters, semi-naive?)`. On by
     /// default; `false` recompiles everything per fixpoint (the no-cache
     /// control of experiment E16). Yet another pure performance knob — a
@@ -365,6 +365,7 @@ pub fn naive(
         None,
         &EvalOptions::default(),
         &Collector::disabled(),
+        &mut EvalCache::default(),
     )
 }
 
@@ -375,56 +376,28 @@ pub fn seminaive(
     db: &mut Database,
     budget: &EvalBudget,
 ) -> Result<EvalStats, EvalError> {
-    seminaive_opts(prog, store, db, budget, &EvalOptions::default())
-}
-
-/// [`seminaive`] with explicit [`EvalOptions`] (worker threads, join
-/// order).
-pub fn seminaive_opts(
-    prog: &Program,
-    store: &mut TermStore,
-    db: &mut Database,
-    budget: &EvalBudget,
-    options: &EvalOptions,
-) -> Result<EvalStats, EvalError> {
-    if prog.has_negation() {
-        return Err(EvalError::NegationRequiresStratification);
-    }
-    fixpoint(
+    seminaive_with(
         prog,
         store,
         db,
         budget,
-        true,
-        0,
-        &mut FxHashMap::default(),
-        None,
-        options,
+        &EvalOptions::default(),
         &Collector::disabled(),
     )
 }
 
-/// [`seminaive`] recording spans and counters into `collector`: one span
-/// per fixpoint round and one per productive rule Δ-pass, plus the run's
-/// [`EvalStats`] folded into the collector's `eval.*` counters.
-pub fn seminaive_traced(
+/// [`seminaive`] with explicit [`EvalOptions`] (worker threads, join
+/// order, ablation knobs) and a telemetry sink: one span per fixpoint
+/// round and one per productive rule Δ-pass, plus the run's [`EvalStats`]
+/// folded into the collector's `eval.*` counters. A disabled collector
+/// records nothing.
+pub fn seminaive_with(
     prog: &Program,
     store: &mut TermStore,
     db: &mut Database,
     budget: &EvalBudget,
-    collector: &Collector,
-) -> Result<EvalStats, EvalError> {
-    seminaive_traced_opts(prog, store, db, budget, collector, &EvalOptions::default())
-}
-
-/// [`seminaive_traced`] with explicit [`EvalOptions`].
-pub fn seminaive_traced_opts(
-    prog: &Program,
-    store: &mut TermStore,
-    db: &mut Database,
-    budget: &EvalBudget,
-    collector: &Collector,
     options: &EvalOptions,
+    collector: &Collector,
 ) -> Result<EvalStats, EvalError> {
     if prog.has_negation() {
         return Err(EvalError::NegationRequiresStratification);
@@ -440,113 +413,7 @@ pub fn seminaive_traced_opts(
         None,
         options,
         collector,
-    )
-}
-
-/// [`seminaive`] with an explicit [`JoinOrder`] — the hook experiment E12
-/// uses to compare the compiled plan order against the leftmost baseline
-/// on identical inputs.
-pub fn seminaive_ordered(
-    prog: &Program,
-    store: &mut TermStore,
-    db: &mut Database,
-    budget: &EvalBudget,
-    order: JoinOrder,
-) -> Result<EvalStats, EvalError> {
-    seminaive_opts(
-        prog,
-        store,
-        db,
-        budget,
-        &EvalOptions {
-            order,
-            ..Default::default()
-        },
-    )
-}
-
-/// Semi-naive evaluation resuming from `watermarks`: rows below a
-/// relation's watermark are assumed already saturated under `prog` (the
-/// invariant a previous call established), so only the newer rows act as
-/// initial deltas. On return the watermarks are advanced to the new
-/// relation lengths.
-///
-/// This is what lets a distributed peer absorb one message batch at a time
-/// without re-joining its whole database on every batch.
-pub fn seminaive_from(
-    prog: &Program,
-    store: &mut TermStore,
-    db: &mut Database,
-    budget: &EvalBudget,
-    watermarks: &mut FxHashMap<PredId, usize>,
-) -> Result<EvalStats, EvalError> {
-    seminaive_from_traced(prog, store, db, budget, watermarks, &Collector::disabled())
-}
-
-/// [`seminaive_from`] recording spans and counters into `collector` — the
-/// entry point a distributed peer uses so each message-batch fixpoint
-/// shows up in the trace.
-pub fn seminaive_from_traced(
-    prog: &Program,
-    store: &mut TermStore,
-    db: &mut Database,
-    budget: &EvalBudget,
-    watermarks: &mut FxHashMap<PredId, usize>,
-    collector: &Collector,
-) -> Result<EvalStats, EvalError> {
-    seminaive_from_traced_opts(
-        prog,
-        store,
-        db,
-        budget,
-        watermarks,
-        collector,
-        &EvalOptions::default(),
-    )
-}
-
-/// [`seminaive_from_traced`] with explicit [`EvalOptions`] — what each
-/// distributed peer calls so its local fixpoints use the configured worker
-/// pool.
-#[allow(clippy::too_many_arguments)]
-pub fn seminaive_from_traced_opts(
-    prog: &Program,
-    store: &mut TermStore,
-    db: &mut Database,
-    budget: &EvalBudget,
-    watermarks: &mut FxHashMap<PredId, usize>,
-    collector: &Collector,
-    options: &EvalOptions,
-) -> Result<EvalStats, EvalError> {
-    if prog.has_negation() {
-        return Err(EvalError::NegationRequiresStratification);
-    }
-    fixpoint(
-        prog, store, db, budget, true, 0, watermarks, None, options, collector,
-    )
-}
-
-/// [`seminaive_from_traced_opts`] with an explicit [`EvalCache`]: compiled
-/// plans and the worker pool are reused across calls instead of being
-/// rebuilt per fixpoint. This is the entry point for callers that run many
-/// small fixpoints over one program — a distributed peer absorbing message
-/// batches, or any driver resuming the same program repeatedly.
-#[allow(clippy::too_many_arguments)]
-pub fn seminaive_from_cached(
-    prog: &Program,
-    store: &mut TermStore,
-    db: &mut Database,
-    budget: &EvalBudget,
-    watermarks: &mut FxHashMap<PredId, usize>,
-    collector: &Collector,
-    options: &EvalOptions,
-    cache: &mut EvalCache,
-) -> Result<EvalStats, EvalError> {
-    if prog.has_negation() {
-        return Err(EvalError::NegationRequiresStratification);
-    }
-    fixpoint_cached(
-        prog, store, db, budget, true, 0, watermarks, None, options, collector, cache,
+        &mut EvalCache::default(),
     )
 }
 
@@ -565,7 +432,7 @@ struct PlanKey {
     semi: bool,
 }
 
-/// Everything [`fixpoint_cached`] derives from the program text alone —
+/// Everything [`fixpoint`] derives from the program text alone —
 /// independent of the database, the budget, and the thread count, so it
 /// can be replayed verbatim by every later fixpoint over the same program.
 struct CompiledProgram {
@@ -601,12 +468,10 @@ struct CompiledProgram {
     profile_labels: Option<Vec<String>>,
 }
 
-/// Session-scoped evaluation state that outlives a single fixpoint: the
-/// compiled-plan cache and the persistent worker pool. An
-/// [`EvalSession`] owns one across resumes; one-shot entry points create a
-/// transient cache per call (amortizing the pool across that fixpoint's
-/// rounds); distributed peers hold one per peer and pass it to
-/// [`seminaive_from_cached`] on every message batch.
+/// Evaluation state that outlives a single fixpoint: the compiled-plan
+/// cache and the persistent worker pool. An [`EvalSession`] owns one across
+/// resumes; one-shot entry points create a transient cache per call
+/// (amortizing the pool across that fixpoint's rounds).
 ///
 /// Invalidation is by key, not by hand: every fixpoint recomputes the
 /// [`PlanKey`] from the program fingerprint and options and recompiles on
@@ -614,26 +479,13 @@ struct CompiledProgram {
 /// replay and budget changes never invalidate — plans depend only on the
 /// rules and the compile options, never on the data.
 #[derive(Default)]
-pub struct EvalCache {
+pub(crate) struct EvalCache {
     compiled: Option<CompiledProgram>,
     pool: Option<WorkerPool>,
     /// Worker threads ever spawned by this cache's pools (cumulative over
     /// pool rebuilds) — the source of the `eval.parallel.threads_spawned`
     /// counter that pins "zero spawns per round after warm-up".
     threads_spawned: u64,
-}
-
-impl EvalCache {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Drop the compiled plans (the worker pool survives). The next
-    /// fixpoint recompiles; used when switching [`EvalOptions::plan_cache`]
-    /// off so a later re-enable starts from a clean slate.
-    pub fn clear_plans(&mut self) {
-        self.compiled = None;
-    }
 }
 
 /// The persistent worker pool for `threads` workers, (re)building it when
@@ -657,12 +509,15 @@ fn pool_for<'p>(
 /// owned together so callers can keep injecting facts and re-saturating
 /// without ever re-joining the already-saturated prefix.
 ///
-/// This is the paper's online-diagnosis story (§4.4): each alarm extends
-/// the model by a small delta, so the supervisor should pay for the delta,
-/// not for the whole unfolding again. Two mechanisms cooperate:
+/// This is the one resumable fixpoint of the workspace. The paper's online
+/// supervisor (§4.4) runs on it — each alarm extends the model by a small
+/// delta, so the supervisor should pay for the delta, not for the whole
+/// unfolding again — and so does every distributed peer (§3.2), resuming on
+/// each batch of imported tuples. Two mechanisms cooperate:
 ///
 /// * **watermarks** — rows below a relation's watermark were saturated by a
-///   previous call and act as "old" from the start (see [`seminaive_from`]);
+///   previous resume and act as "old" from the start, so only the newer
+///   rows are initial deltas;
 /// * **deferred facts** — heads skipped by the term-depth bound are
 ///   recorded, and [`EvalSession::set_depth_bound`] re-injects the ones
 ///   that fit a raised bound as fresh deltas. Any derivation missing from
@@ -677,49 +532,45 @@ pub struct EvalSession {
     deferred: DeferredFacts,
     /// Facts queued for the next [`resume`](Self::resume) call.
     queue: Vec<(PredId, Box<[TermId]>)>,
+    /// Whether the last fixpoint ran to saturation. Until the first one
+    /// does (and after a failed one) every resume runs the fixpoint; after
+    /// it, a resume that inserts nothing new skips it.
+    saturated: bool,
     /// Aggregate stats over every fixpoint run by this session.
     total: EvalStats,
     /// Telemetry sink for every fixpoint the session runs (disabled by
     /// default — a disabled collector is one branch per call site).
     collector: Collector,
-    /// Execution options for every fixpoint the session runs. The worker
-    /// count never changes what a resume derives, so it may be adjusted
-    /// between resumes.
+    /// Execution options for every fixpoint the session runs. None of them
+    /// changes what a resume derives, so they may be adjusted between
+    /// resumes.
     options: EvalOptions,
     /// Compiled plans + persistent worker pool, reused by every resume —
     /// the session's program is fixed, so after the first fixpoint each
-    /// `push_fact`/`resume` pays for its delta joins, not for
-    /// recompilation or thread spawns.
+    /// resume pays for its delta joins, not for recompilation or thread
+    /// spawns.
     cache: EvalCache,
 }
 
 impl EvalSession {
-    /// Start a session for `prog` and saturate its own facts and rules.
-    /// The program is fixed for the session's lifetime; later calls only
-    /// add extensional facts. Negation is rejected (sessions are
-    /// single-stratum, like [`seminaive`]).
-    pub fn new(
-        prog: Program,
-        store: &mut TermStore,
-        budget: EvalBudget,
-    ) -> Result<Self, EvalError> {
-        if prog.has_negation() {
-            return Err(EvalError::NegationRequiresStratification);
-        }
-        let mut session = EvalSession {
+    /// Build a session for `prog` with an empty database. Nothing is
+    /// evaluated yet: the first [`resume`](Self::resume) saturates the
+    /// program's own facts and rules. The program is fixed for the
+    /// session's lifetime; later calls only add extensional facts.
+    pub fn new(prog: Program, budget: EvalBudget) -> Self {
+        EvalSession {
             prog,
             db: Database::new(),
             budget,
             watermarks: FxHashMap::default(),
             deferred: DeferredFacts::default(),
             queue: Vec::new(),
+            saturated: false,
             total: EvalStats::default(),
             collector: Collector::disabled(),
             options: EvalOptions::default(),
             cache: EvalCache::default(),
-        };
-        session.resume(store, [])?;
-        Ok(session)
+        }
     }
 
     /// Route every subsequent fixpoint's spans and counters to `collector`.
@@ -727,23 +578,23 @@ impl EvalSession {
         self.collector = collector;
     }
 
-    /// Set the worker count for every subsequent fixpoint. A pure
-    /// performance knob: the derived model is byte-identical either way.
-    /// The persistent worker pool is rebuilt on the next fan-out if the
-    /// count actually changed.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.options.threads = threads;
+    /// The telemetry sink of every fixpoint this session runs.
+    pub fn collector(&self) -> &Collector {
+        &self.collector
     }
 
-    /// Enable or disable the session's compiled-plan cache (see
-    /// [`EvalOptions::plan_cache`]; on by default). Disabling recompiles
-    /// every plan on every resume — the control arm of the online-latency
-    /// experiment. Derivations are byte-identical either way.
-    pub fn set_plan_cache(&mut self, on: bool) {
-        self.options.plan_cache = on;
-        if !on {
-            self.cache.clear_plans();
-        }
+    /// Set the engine options for every subsequent fixpoint. Every field
+    /// is a pure performance or observability knob: the derived model is
+    /// byte-identical at any setting. The persistent worker pool is
+    /// rebuilt on the next fan-out if the thread count changed, and a
+    /// plan-shaping change recompiles on the next resume.
+    pub fn set_options(&mut self, options: EvalOptions) {
+        self.options = options;
+    }
+
+    /// The engine options applied to the next [`resume`](Self::resume).
+    pub fn options(&self) -> &EvalOptions {
+        &self.options
     }
 
     /// The materialized model so far (truncated at the current depth bound).
@@ -799,12 +650,22 @@ impl EvalSession {
 
     /// Inject `new_facts` (plus anything queued) and run the fixpoint to
     /// saturation, joining only against what is new since the last call.
+    ///
+    /// Injected facts count against the fact budget like derived ones.
+    /// Once the session has saturated, a resume whose facts are all
+    /// duplicates cannot derive anything: it skips the fixpoint and
+    /// returns empty stats. Negation is rejected (sessions are
+    /// single-stratum, like [`seminaive`]).
     pub fn resume(
         &mut self,
         store: &mut TermStore,
         new_facts: impl IntoIterator<Item = (PredId, Box<[TermId]>)>,
     ) -> Result<EvalStats, EvalError> {
+        if !self.saturated && self.prog.has_negation() {
+            return Err(EvalError::NegationRequiresStratification);
+        }
         self.queue.extend(new_facts);
+        let mut any_new = false;
         for (pred, row) in self.queue.drain(..) {
             // Duplicates insert nothing, so they never trip the budget.
             if self.db.total_facts() >= self.budget.max_facts && !self.db.contains(pred, &row) {
@@ -814,9 +675,13 @@ impl EvalSession {
             }
             // Rows land above the watermark, so they are the initial
             // deltas of the run below.
-            self.db.insert(pred, row);
+            any_new |= self.db.insert(pred, row);
         }
-        let stats = fixpoint_cached(
+        if self.saturated && !any_new {
+            return Ok(EvalStats::default());
+        }
+        self.saturated = false;
+        let stats = fixpoint(
             &self.prog,
             store,
             &mut self.db,
@@ -829,6 +694,7 @@ impl EvalSession {
             &self.collector,
             &mut self.cache,
         )?;
+        self.saturated = true;
         self.total.absorb(&stats);
         Ok(stats)
     }
@@ -1006,32 +872,8 @@ fn count_members(node: &TrieNode) -> usize {
     node.leaves.len() + node.children.iter().map(count_members).sum::<usize>()
 }
 
-/// [`fixpoint_cached`] with a transient [`EvalCache`]: one-shot entry
-/// points compile once and spawn workers once per *call* (the pool still
-/// amortizes across the call's rounds), while sessions and peers hold a
-/// cache across calls.
 #[allow(clippy::too_many_arguments)]
 fn fixpoint(
-    prog: &Program,
-    store: &mut TermStore,
-    db: &mut Database,
-    budget: &EvalBudget,
-    semi: bool,
-    stratum: u32,
-    watermarks: &mut FxHashMap<PredId, usize>,
-    deferred: Option<&mut DeferredFacts>,
-    options: &EvalOptions,
-    collector: &Collector,
-) -> Result<EvalStats, EvalError> {
-    let mut cache = EvalCache::default();
-    fixpoint_cached(
-        prog, store, db, budget, semi, stratum, watermarks, deferred, options, collector,
-        &mut cache,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn fixpoint_cached(
     prog: &Program,
     store: &mut TermStore,
     db: &mut Database,
@@ -1739,31 +1581,27 @@ pub fn seminaive_stratified(
     db: &mut Database,
     budget: &EvalBudget,
 ) -> Result<EvalStats, EvalError> {
-    seminaive_stratified_traced(prog, store, db, budget, &Collector::disabled())
+    seminaive_stratified_with(
+        prog,
+        store,
+        db,
+        budget,
+        &EvalOptions::default(),
+        &Collector::disabled(),
+    )
 }
 
-/// [`seminaive_stratified`] recording a span per stratum (labelled with
-/// the stratum's member predicates) into `collector`, with per-round and
-/// per-rule spans nested beneath via the inner fixpoints.
-pub fn seminaive_stratified_traced(
+/// [`seminaive_stratified`] with explicit [`EvalOptions`] (every stratum's
+/// inner fixpoint uses the same configuration) and a telemetry sink: a
+/// span per stratum, labelled with the stratum's member predicates, with
+/// per-round and per-rule spans nested beneath.
+pub fn seminaive_stratified_with(
     prog: &Program,
     store: &mut TermStore,
     db: &mut Database,
     budget: &EvalBudget,
-    collector: &Collector,
-) -> Result<EvalStats, EvalError> {
-    seminaive_stratified_traced_opts(prog, store, db, budget, collector, &EvalOptions::default())
-}
-
-/// [`seminaive_stratified_traced`] with explicit [`EvalOptions`]: every
-/// stratum's inner fixpoint uses the same worker pool configuration.
-pub fn seminaive_stratified_traced_opts(
-    prog: &Program,
-    store: &mut TermStore,
-    db: &mut Database,
-    budget: &EvalBudget,
-    collector: &Collector,
     options: &EvalOptions,
+    collector: &Collector,
 ) -> Result<EvalStats, EvalError> {
     let graph = crate::graph::DepGraph::build(prog);
     if let Err((from, to)) = graph.check_stratifiable() {
@@ -1813,6 +1651,7 @@ pub fn seminaive_stratified_traced_opts(
             None,
             options,
             collector,
+            &mut EvalCache::default(),
         )?;
         if let Some(sp) = stratum_span.as_mut() {
             sp.arg("facts_derived", s.facts_derived as u64);
@@ -1916,7 +1755,13 @@ pub fn answer_query(
     } else {
         naive(prog, store, db, budget)?
     };
-    let rows: Vec<Vec<TermId>> = match db.relation(query.pred) {
+    Ok((filter_answers(db, store, query), stats))
+}
+
+/// Rows of `pattern.pred` matching `pattern` (ground positions must agree,
+/// function structure is matched recursively).
+pub fn filter_answers(db: &Database, store: &TermStore, pattern: &Atom) -> Vec<Vec<TermId>> {
+    match db.relation(pattern.pred) {
         None => Vec::new(),
         Some(rel) => rel
             .rows()
@@ -1924,13 +1769,12 @@ pub fn answer_query(
             .filter(|row| {
                 let mut s = Subst::new();
                 row.iter()
-                    .zip(query.args.iter())
+                    .zip(pattern.args.iter())
                     .all(|(&g, &p)| store.match_term(p, g, &mut s))
             })
             .map(|row| row.to_vec())
             .collect(),
-    };
-    Ok((rows, stats))
+    }
 }
 
 #[cfg(test)]
@@ -2101,8 +1945,15 @@ mod tests {
         let prog = parse_program(TC, &mut st).unwrap();
         let mut db = Database::new();
         let collector = Collector::enabled();
-        let stats =
-            seminaive_traced(&prog, &mut st, &mut db, &EvalBudget::default(), &collector).unwrap();
+        let stats = seminaive_with(
+            &prog,
+            &mut st,
+            &mut db,
+            &EvalBudget::default(),
+            &EvalOptions::default(),
+            &collector,
+        )
+        .unwrap();
         let snap = collector.snapshot();
         assert_eq!(
             snap.counter("eval.facts_derived"),
@@ -2124,8 +1975,15 @@ mod tests {
         let prog = parse_program(TC, &mut st).unwrap();
         let mut db = Database::new();
         let collector = Collector::enabled();
-        seminaive_stratified_traced(&prog, &mut st, &mut db, &EvalBudget::default(), &collector)
-            .unwrap();
+        seminaive_stratified_with(
+            &prog,
+            &mut st,
+            &mut db,
+            &EvalBudget::default(),
+            &EvalOptions::default(),
+            &collector,
+        )
+        .unwrap();
         let rollup = collector.span_rollup();
         assert!(
             rollup.keys().any(|k| k.starts_with("stratum ")),
@@ -2163,8 +2021,8 @@ mod tests {
 
     #[test]
     fn incremental_seminaive_absorbs_new_facts() {
-        // seminaive_from with watermarks: feeding facts in two batches
-        // reaches the same fixpoint as feeding them at once.
+        // A session fed facts in two batches reaches the same fixpoint as
+        // feeding them at once.
         let rules = r#"
             Path@p(X, Y) :- Edge@p(X, Y).
             Path@p(X, Y) :- Edge@p(X, Z), Path@p(Z, Y).
@@ -2172,21 +2030,51 @@ mod tests {
         let mut st = TermStore::new();
         let prog = parse_program(rules, &mut st).unwrap();
         let edge = rescue_pred(&mut st, "Edge");
-        let mut db = Database::new();
-        let mut marks = rustc_hash::FxHashMap::default();
+        let path = rescue_pred(&mut st, "Path");
+        let mut session = EvalSession::new(prog, EvalBudget::default());
         // Batch 1: a -> b.
         let (a, b, c) = (st.constant("a"), st.constant("b"), st.constant("c"));
-        db.insert(edge, vec![a, b].into());
-        seminaive_from(&prog, &mut st, &mut db, &EvalBudget::default(), &mut marks).unwrap();
-        let path = rescue_pred(&mut st, "Path");
-        assert_eq!(db.count(path), 1);
-        // Batch 2: b -> c — incremental run must derive a->c too.
-        db.insert(edge, vec![b, c].into());
-        let s2 =
-            seminaive_from(&prog, &mut st, &mut db, &EvalBudget::default(), &mut marks).unwrap();
-        assert_eq!(db.count(path), 3);
+        session
+            .resume(&mut st, [(edge, vec![a, b].into())])
+            .unwrap();
+        assert_eq!(session.database().count(path), 1);
+        // Batch 2: b -> c — the resume must derive a->c too.
+        let s2 = session
+            .resume(&mut st, [(edge, vec![b, c].into())])
+            .unwrap();
+        assert_eq!(session.database().count(path), 3);
         // And it did so without re-deriving the old fact.
         assert_eq!(s2.facts_derived, 2);
+    }
+
+    #[test]
+    fn resume_without_new_facts_skips_the_fixpoint() {
+        let src = r#"
+            Edge@p(a, b).
+            Path@p(X, Y) :- Edge@p(X, Y).
+        "#;
+        let mut st = TermStore::new();
+        let prog = parse_program(src, &mut st).unwrap();
+        let edge = rescue_pred(&mut st, "Edge");
+        let (a, b) = (st.constant("a"), st.constant("b"));
+        let mut session = EvalSession::new(prog, EvalBudget::default());
+        // `new` evaluates nothing; the first resume saturates, even empty.
+        assert_eq!(session.database().total_facts(), 0);
+        let first = session.resume(&mut st, []).unwrap();
+        assert!(first.iterations > 0);
+        assert_eq!(session.database().total_facts(), 2);
+        // After saturation a duplicate-only batch runs no fixpoint.
+        let dup = session
+            .resume(&mut st, [(edge, vec![a, b].into())])
+            .unwrap();
+        assert_eq!(dup.iterations, 0);
+        assert_eq!(session.total_stats().iterations, first.iterations);
+        // A genuinely new fact still resumes.
+        let new = session
+            .resume(&mut st, [(edge, vec![b, a].into())])
+            .unwrap();
+        assert!(new.iterations > 0);
+        assert_eq!(session.database().total_facts(), 4);
     }
 
     fn rescue_pred(st: &mut TermStore, name: &str) -> crate::language::PredId {
@@ -2210,7 +2098,7 @@ mod tests {
         let path = rescue_pred(&mut st, "Path");
         let chain: Vec<TermId> = (0..8).map(|i| st.constant(&format!("n{i}"))).collect();
 
-        let mut session = EvalSession::new(prog.clone(), &mut st, EvalBudget::default()).unwrap();
+        let mut session = EvalSession::new(prog.clone(), EvalBudget::default());
         for w in chain.windows(2) {
             session
                 .resume(&mut st, [(edge, vec![w[0], w[1]].into_boxed_slice())])
@@ -2245,8 +2133,8 @@ mod tests {
         let prog = parse_program(src, &mut st).unwrap();
         let node = rescue_pred(&mut st, "Node");
 
-        let mut session =
-            EvalSession::new(prog.clone(), &mut st, EvalBudget::depth_bounded(2)).unwrap();
+        let mut session = EvalSession::new(prog.clone(), EvalBudget::depth_bounded(2));
+        session.resume(&mut st, []).unwrap();
         assert_eq!(session.database().count(node), 1); // f(c0)
         assert_eq!(session.deferred_len(), 1); // f(f(c0)) suppressed
 
@@ -2279,8 +2167,8 @@ mod tests {
         let mut st = TermStore::new();
         let prog = parse_program(src, &mut st).unwrap();
         assert_eq!(
-            EvalSession::new(prog, &mut st, EvalBudget::default()).err(),
-            Some(EvalError::NegationRequiresStratification)
+            EvalSession::new(prog, EvalBudget::default()).resume(&mut st, []),
+            Err(EvalError::NegationRequiresStratification)
         );
     }
 
@@ -2346,6 +2234,80 @@ mod tests {
             prog.validate(&st),
             Err(crate::language::ValidationError::UnsafeNegatedVar { .. })
         ));
+    }
+
+    /// Transitive closure over a 300-edge chain, optionally with one more
+    /// rule (a different program fingerprint).
+    fn chain_tc_src(extra_rule: bool) -> String {
+        let mut src = String::new();
+        for i in 0..300 {
+            src.push_str(&format!("Edge@p(\"n{i}\", \"n{}\").\n", i + 1));
+        }
+        src.push_str("Path@p(X, Y) :- Edge@p(X, Y).\n");
+        src.push_str("Path@p(X, Y) :- Path@p(X, Z), Edge@p(Z, Y).\n");
+        if extra_rule {
+            src.push_str("Loop@p(X) :- Path@p(X, X).\n");
+        }
+        src
+    }
+
+    /// One traced fixpoint of `src` over a fresh database through `cache`;
+    /// returns the stats and the sorted rendered model.
+    fn run_cached(
+        src: &str,
+        options: &EvalOptions,
+        cache: &mut EvalCache,
+    ) -> (EvalStats, Vec<String>) {
+        let mut st = TermStore::new();
+        let prog = parse_program(src, &mut st).unwrap();
+        let mut db = Database::new();
+        let stats = fixpoint(
+            &prog,
+            &mut st,
+            &mut db,
+            &EvalBudget::default(),
+            true,
+            0,
+            &mut FxHashMap::default(),
+            None,
+            options,
+            &Collector::enabled(),
+            cache,
+        )
+        .unwrap();
+        let st = &st;
+        let mut rows: Vec<String> = db
+            .iter()
+            .flat_map(|(pred, rel)| {
+                let name = st.sym_str(pred.name);
+                rel.rows().iter().map(move |row| {
+                    let args: Vec<String> = row.iter().map(|&t| st.display(t)).collect();
+                    format!("{name}({})", args.join(","))
+                })
+            })
+            .collect();
+        rows.sort();
+        (stats, rows)
+    }
+
+    #[test]
+    fn program_change_invalidates_the_cache() {
+        let opts = EvalOptions::with_threads(1);
+        let mut cache = EvalCache::default();
+        let (a, _) = run_cached(&chain_tc_src(false), &opts, &mut cache);
+        assert!(a.plans_compiled > 0);
+
+        // A different program through the same cache must recompile and
+        // produce exactly what a fresh cache produces.
+        let (b, b_db) = run_cached(&chain_tc_src(true), &opts, &mut cache);
+        assert!(b.plans_compiled > 0, "new program must miss the cache");
+        let (fresh, fresh_db) = run_cached(&chain_tc_src(true), &opts, &mut EvalCache::default());
+        assert_eq!(b_db, fresh_db);
+        assert_eq!(b.with_walls_zeroed(), fresh.with_walls_zeroed());
+
+        // Going back recompiles again: the cache keeps one compiled program.
+        let (a2, _) = run_cached(&chain_tc_src(false), &opts, &mut cache);
+        assert!(a2.plans_compiled > 0);
     }
 
     #[test]

@@ -220,8 +220,8 @@ impl Program {
         self.rules.is_empty()
     }
 
-    /// A structural fingerprint of the rule set — what the plan cache
-    /// ([`crate::eval::EvalCache`]) keys compiled [`crate::plan::RulePlan`]s
+    /// A structural fingerprint of the rule set — what the plan cache of an
+    /// [`crate::eval::EvalSession`] keys compiled [`crate::plan::RulePlan`]s
     /// on. Two programs with the same fingerprint over the same
     /// [`crate::term::TermStore`] compile to identical plans: the hash
     /// covers every rule's head, body (predicates, argument term ids,

@@ -33,11 +33,9 @@ pub mod term;
 
 pub use database::{Database, Relation};
 pub use eval::{
-    default_threads, naive, seminaive, seminaive_from, seminaive_from_cached,
-    seminaive_from_traced, seminaive_from_traced_opts, seminaive_opts, seminaive_ordered,
-    seminaive_stratified, seminaive_stratified_traced, seminaive_stratified_traced_opts,
-    seminaive_traced, seminaive_traced_opts, DeferredFacts, DepthPolicy, EvalBudget, EvalCache,
-    EvalError, EvalOptions, EvalSession, EvalStats,
+    default_threads, filter_answers, naive, seminaive, seminaive_stratified,
+    seminaive_stratified_with, seminaive_with, DeferredFacts, DepthPolicy, EvalBudget, EvalError,
+    EvalOptions, EvalSession, EvalStats,
 };
 pub use graph::DepGraph;
 pub use language::{

@@ -1,85 +1,82 @@
 //! The session plan cache's observability contract: a cache hit changes
 //! *nothing* but the `plans_compiled` counter (and the wall clock), and a
-//! stale hit is impossible — any change to the program or to a
-//! plan-shaping option misses the key and recompiles. The persistent
-//! worker pool rides along: threads spawn on the first fan-out and never
-//! again, which `eval.parallel.threads_spawned` pins exactly.
+//! stale hit is impossible — any change to a plan-shaping option misses
+//! the key and recompiles. The persistent worker pool rides along:
+//! threads spawn on the first fan-out and never again, which
+//! `eval.parallel.threads_spawned` pins exactly.
+//!
+//! Every check goes through [`EvalSession`], the one owner of a cache
+//! across fixpoints: a session absorbs one 300-edge chain, then a second,
+//! disjoint one, and the second resume is compared against a control that
+//! ran the same two resumes under different options. (Program changes can
+//! only be seen below the session, whose program is fixed; that check
+//! lives with the cache in `eval.rs`.)
 
 use rescue_datalog::{
-    parse_program, seminaive_from_cached, Database, EvalBudget, EvalCache, EvalOptions, EvalStats,
-    JoinOrder, TermStore,
+    parse_program, EvalBudget, EvalOptions, EvalSession, EvalStats, JoinOrder, PredId, TermId,
+    TermStore,
 };
-use rescue_telemetry::Collector;
-use rustc_hash::FxHashMap;
+use rescue_telemetry::{Collector, MetricsSnapshot};
 
-/// Transitive closure over a 300-edge chain: ~45k paths, round windows
-/// wide enough (delta ≈ 300 rows joined against 300 edges) that a
+const TC: &str = "
+    Path@p(X, Y) :- Edge@p(X, Y).
+    Path@p(X, Y) :- Path@p(X, Z), Edge@p(Z, Y).
+";
+
+/// A 300-edge chain over fresh `{prefix}i` constants: ~45k paths, round
+/// windows wide enough (delta ≈ 300 rows joined against 300 edges) that a
 /// 4-thread run fans out to the worker pool on many rounds.
-fn chain_tc_src(extra_rule: bool) -> String {
-    let mut src = String::new();
-    for i in 0..300 {
-        src.push_str(&format!("Edge@p(\"n{i}\", \"n{}\").\n", i + 1));
-    }
-    src.push_str("Path@p(X, Y) :- Edge@p(X, Y).\n");
-    src.push_str("Path@p(X, Y) :- Path@p(X, Z), Edge@p(Z, Y).\n");
-    if extra_rule {
-        src.push_str("Loop@p(X) :- Path@p(X, X).\n");
-    }
-    src
+fn chain(store: &mut TermStore, edge: PredId, prefix: &str) -> Vec<(PredId, Box<[TermId]>)> {
+    let nodes: Vec<TermId> = (0..=300)
+        .map(|i| store.constant(&format!("{prefix}{i}")))
+        .collect();
+    nodes
+        .windows(2)
+        .map(|w| (edge, vec![w[0], w[1]].into_boxed_slice()))
+        .collect()
 }
 
-/// Run `src` to fixpoint against a fresh database with the given shared
-/// cache; returns the run's stats, the sorted rendered model, and the
-/// run's own telemetry snapshot.
-fn run_cached(
-    src: &str,
-    options: &EvalOptions,
-    cache: &mut EvalCache,
-) -> (EvalStats, Vec<String>, rescue_telemetry::MetricsSnapshot) {
+/// One session over [`TC`] with `first` options for the first chain and
+/// `second` for the second. Returns both resumes' stats and telemetry
+/// snapshots, and the sorted rendered model.
+fn two_chains(
+    first: EvalOptions,
+    second: EvalOptions,
+) -> ([(EvalStats, MetricsSnapshot); 2], Vec<String>) {
     let mut store = TermStore::new();
-    let prog = parse_program(src, &mut store).unwrap();
-    let mut db = Database::new();
-    let mut marks: FxHashMap<_, _> = FxHashMap::default();
-    let collector = Collector::enabled();
-    let stats = seminaive_from_cached(
-        &prog,
-        &mut store,
-        &mut db,
-        &EvalBudget::default(),
-        &mut marks,
-        &collector,
-        options,
-        cache,
-    )
-    .unwrap();
+    let prog = parse_program(TC, &mut store).unwrap();
+    let edge = prog.rules[0].body[0].pred;
+    let mut session = EvalSession::new(prog, EvalBudget::default());
+    let mut resume = |options: EvalOptions, prefix: &str| {
+        let facts = chain(&mut store, edge, prefix);
+        let collector = Collector::enabled();
+        session.set_options(options);
+        session.set_collector(collector.clone());
+        let stats = session.resume(&mut store, facts).unwrap();
+        (stats, collector.snapshot())
+    };
+    let runs = [resume(first, "a"), resume(second, "b")];
+    let db = session.database();
     let mut rows: Vec<String> = db
-        .predicates()
-        .into_iter()
-        .flat_map(|pred| {
-            let name = store.sym_str(pred.name).to_owned();
-            db.relation(pred)
-                .unwrap()
-                .rows()
-                .iter()
-                .map(|row| {
-                    let args: Vec<String> = row.iter().map(|&t| store.display(t)).collect();
-                    format!("{name}({})", args.join(","))
-                })
-                .collect::<Vec<_>>()
+        .iter()
+        .flat_map(|(pred, rel)| {
+            let name = store.sym_str(pred.name);
+            let store = &store;
+            rel.rows().iter().map(move |row| {
+                let args: Vec<String> = row.iter().map(|&t| store.display(t)).collect();
+                format!("{name}({})", args.join(","))
+            })
         })
         .collect();
     rows.sort();
-    (stats, rows, collector.snapshot())
+    (runs, rows)
 }
 
 #[test]
 fn cache_hit_compiles_nothing_spawns_nothing_and_changes_nothing() {
-    let src = chain_tc_src(false);
     let opts = EvalOptions::with_threads(4);
-    let mut cache = EvalCache::new();
-
-    let (cold, cold_db, cold_snap) = run_cached(&src, &opts, &mut cache);
-    assert!(cold.plans_compiled > 0, "cold run must compile");
+    let ([(cold, cold_snap), (warm, warm_snap)], warm_db) = two_chains(opts, opts);
+    assert!(cold.plans_compiled > 0, "cold resume must compile");
     assert!(
         cold_snap.counter("eval.parallel.rounds") > 0,
         "workload is supposed to engage the pool"
@@ -89,80 +86,66 @@ fn cache_hit_compiles_nothing_spawns_nothing_and_changes_nothing() {
         4,
         "first fan-out spawns the pool, once"
     );
-
-    let (warm, warm_db, warm_snap) = run_cached(&src, &opts, &mut cache);
-    assert_eq!(warm.plans_compiled, 0, "warm run must be a pure cache hit");
+    assert_eq!(
+        warm.plans_compiled, 0,
+        "warm resume must be a pure cache hit"
+    );
     assert!(warm_snap.counter("eval.parallel.rounds") > 0);
     assert_eq!(
         warm_snap.counter("eval.parallel.threads_spawned"),
         0,
         "zero thread spawns after warm-up"
     );
-    // The hit is invisible: identical model, identical engine counters
-    // (per-rule wall clocks are the one nondeterministic field).
-    assert_eq!(cold_db, warm_db);
-    let mut cold_no_compile = cold;
-    cold_no_compile.plans_compiled = 0;
+
+    // The hit is invisible: the same two resumes with the cache off give
+    // the identical model and identical engine counters (per-rule wall
+    // clocks are the one nondeterministic field).
+    let no_cache = EvalOptions {
+        plan_cache: false,
+        ..opts
+    };
+    let ([_, (recompiled, _)], control_db) = two_chains(no_cache, no_cache);
+    assert!(recompiled.plans_compiled > 0);
+    assert_eq!(warm_db, control_db);
+    let mut recompiled_no_compile = recompiled;
+    recompiled_no_compile.plans_compiled = 0;
     assert_eq!(
-        cold_no_compile.with_walls_zeroed(),
+        recompiled_no_compile.with_walls_zeroed(),
         warm.with_walls_zeroed()
     );
 }
 
 #[test]
-fn program_change_invalidates_the_cache() {
-    let opts = EvalOptions::with_threads(1);
-    let mut cache = EvalCache::new();
-    let (a, _, _) = run_cached(&chain_tc_src(false), &opts, &mut cache);
-    assert!(a.plans_compiled > 0);
-
-    // A different program through the same cache must recompile and
-    // produce exactly what a fresh cache produces.
-    let (b, b_db, _) = run_cached(&chain_tc_src(true), &opts, &mut cache);
-    assert!(b.plans_compiled > 0, "new program must miss the cache");
-    let (fresh, fresh_db, _) = run_cached(&chain_tc_src(true), &opts, &mut EvalCache::new());
-    assert_eq!(b_db, fresh_db);
-    assert_eq!(b.with_walls_zeroed(), fresh.with_walls_zeroed());
-
-    // Going back recompiles again: the cache keeps one compiled program.
-    let (a2, _, _) = run_cached(&chain_tc_src(false), &opts, &mut cache);
-    assert!(a2.plans_compiled > 0);
-}
-
-#[test]
 fn join_order_change_invalidates_the_cache() {
-    let src = chain_tc_src(false);
-    let mut cache = EvalCache::new();
     let planned = EvalOptions::with_threads(1);
     let leftmost = EvalOptions {
         order: JoinOrder::Leftmost,
-        ..EvalOptions::with_threads(1)
+        ..planned
     };
-    let (p, p_db, _) = run_cached(&src, &planned, &mut cache);
+    let ([(p, _), (l, _)], switched_db) = two_chains(planned, leftmost);
     assert!(p.plans_compiled > 0);
-    let (l, l_db, _) = run_cached(&src, &leftmost, &mut cache);
     assert!(
         l.plans_compiled > 0,
         "a plan-shaping option change must recompile"
     );
     // Different plans, same model (the reorder is invisible).
-    assert_eq!(p_db, l_db);
+    let (_, planned_db) = two_chains(planned, planned);
+    assert_eq!(switched_db, planned_db);
 }
 
 #[test]
 fn disabling_the_cache_recompiles_every_run() {
-    let src = chain_tc_src(false);
     let opts = EvalOptions {
         plan_cache: false,
         ..EvalOptions::with_threads(1)
     };
-    let mut cache = EvalCache::new();
-    let (a, a_db, _) = run_cached(&src, &opts, &mut cache);
-    let (b, b_db, _) = run_cached(&src, &opts, &mut cache);
+    let ([(a, _), (b, _)], off_db) = two_chains(opts, opts);
     assert!(a.plans_compiled > 0);
     assert_eq!(
         a.plans_compiled, b.plans_compiled,
-        "with the cache off every run recompiles the same plans"
+        "with the cache off every resume recompiles the same plans"
     );
-    assert_eq!(a_db, b_db);
+    let on = EvalOptions::with_threads(1);
+    let (_, on_db) = two_chains(on, on);
+    assert_eq!(off_db, on_db);
 }

@@ -3,8 +3,8 @@
 
 use proptest::prelude::*;
 use rescue_datalog::{
-    naive, parse_program, seminaive, seminaive_ordered, Database, EvalBudget, JoinOrder, Program,
-    Subst, TermId, TermStore,
+    naive, parse_program, seminaive, seminaive_with, Collector, Database, EvalBudget, EvalOptions,
+    JoinOrder, Program, Subst, TermId, TermStore,
 };
 
 // ---------- generators ----------
@@ -222,7 +222,13 @@ proptest! {
             let mut st = TermStore::new();
             let prog = parse_program(&src, &mut st).unwrap();
             let mut db = Database::new();
-            seminaive_ordered(&prog, &mut st, &mut db, &EvalBudget::default(), order).unwrap();
+            let options = EvalOptions {
+                order,
+                ..Default::default()
+            };
+            let budget = EvalBudget::default();
+            seminaive_with(&prog, &mut st, &mut db, &budget, &options, &Collector::disabled())
+                .unwrap();
             let mut rows: Vec<String> = db
                 .predicates()
                 .into_iter()

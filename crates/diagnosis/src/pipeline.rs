@@ -19,13 +19,13 @@ use crate::direct::Diagnosis;
 use crate::encode::names;
 use crate::supervisor::{diagnosis_program, extract_diagnosis, extract_from_db};
 use rescue_datalog::{
-    seminaive_traced_opts, Database, EvalBudget, EvalError, EvalOptions, EvalStats, ExportedTerm,
+    seminaive_with, Database, EvalBudget, EvalError, EvalOptions, EvalStats, ExportedTerm,
     TermStore,
 };
-use rescue_dqsq::{dqsq_distributed, DistOptions, DqsqError};
+use rescue_dqsq::{dqsq_distributed, DistOptions, DqsqError, Transport};
 use rescue_net::NetStats;
 use rescue_petri::PetriNet;
-use rescue_qsq::{magic_answer, qsq_answer_traced_opts, QsqError};
+use rescue_qsq::{magic_answer, qsq_answer_with, QsqError};
 use rescue_telemetry::Collector;
 use rustc_hash::FxHashSet;
 
@@ -146,13 +146,13 @@ pub fn diagnose_seminaive(
         max_term_depth: Some(2 * (alarms.len() as u32 + 1) + 2),
         ..opts.budget
     };
-    let stats = seminaive_traced_opts(
+    let stats = seminaive_with(
         &dp.program,
         &mut store,
         &mut db,
         &budget,
-        &opts.collector,
         &opts.eval_options(),
+        &opts.collector,
     )?;
     let diagnosis = extract_from_db(&db, &store, &dp.query);
 
@@ -195,14 +195,14 @@ pub fn diagnose_qsq(
     let mut store = TermStore::new();
     let dp = diagnosis_program(net, alarms, opts.supervisor, &mut store);
     let mut db = Database::new();
-    let run = qsq_answer_traced_opts(
+    let run = qsq_answer_with(
         &dp.program,
         &dp.query,
         &mut store,
         &mut db,
         &opts.budget,
-        &opts.collector,
         &opts.eval_options(),
+        &opts.collector,
     )?;
     let diagnosis = extract_diagnosis(&run.answers, &store);
 
@@ -298,7 +298,7 @@ pub fn diagnose_dqsq(
     let dp = diagnosis_program(net, alarms, opts.supervisor, &mut store);
     let dist_opts = DistOptions {
         budget: opts.budget,
-        sim: opts.sim,
+        transport: Transport::Sim(opts.sim),
         collector: opts.collector.clone(),
         eval: opts.eval_options(),
         per_peer_trace: opts.per_peer_trace,

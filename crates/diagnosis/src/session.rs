@@ -28,7 +28,8 @@ use crate::direct::Diagnosis;
 use crate::encode::{names, petri_facts, unfolding_program, EncodeOptions};
 use crate::supervisor::{alarm_fact, index_constant, initial_facts, sup_names, supervisor_rules};
 use rescue_datalog::{
-    Database, EvalBudget, EvalError, EvalSession, EvalStats, Peer, PredId, TermId, TermStore,
+    Database, EvalBudget, EvalError, EvalOptions, EvalSession, EvalStats, Peer, PredId, TermId,
+    TermStore,
 };
 use rescue_petri::{PeerId, PetriNet};
 use rescue_telemetry::Collector;
@@ -113,7 +114,8 @@ impl DiagnosisSession {
             depth_policy: rescue_datalog::DepthPolicy::Skip,
             ..base
         };
-        let eval = EvalSession::new(prog, &mut store, budget)?;
+        let mut eval = EvalSession::new(prog, budget);
+        eval.resume(&mut store, [])?;
         let counts = vec![0; peers.len()];
         Ok(DiagnosisSession {
             store,
@@ -142,7 +144,10 @@ impl DiagnosisSession {
     /// [`push_alarm`](Self::push_alarm) resume. Diagnoses are byte-identical
     /// across thread counts.
     pub fn set_threads(&mut self, threads: usize) {
-        self.eval.set_threads(threads);
+        self.eval.set_options(EvalOptions {
+            threads,
+            ..*self.eval.options()
+        });
     }
 
     /// Toggle plan caching across [`push_alarm`](Self::push_alarm) resumes
@@ -150,7 +155,10 @@ impl DiagnosisSession {
     /// either way; off forces every resume to recompile its rule plans,
     /// which exists mainly as the control arm for benchmarks.
     pub fn set_plan_cache(&mut self, on: bool) {
-        self.eval.set_plan_cache(on);
+        self.eval.set_options(EvalOptions {
+            plan_cache: on,
+            ..*self.eval.options()
+        });
     }
 
     /// Absorb one alarm and re-saturate; returns the diagnosis of the

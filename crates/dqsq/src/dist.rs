@@ -18,12 +18,12 @@
 
 use crate::export::{export_rule, import_rule, ExportedRule};
 use rescue_datalog::{
-    seminaive_from_cached, Database, EvalBudget, EvalCache, EvalError, EvalOptions, EvalStats,
-    ExportedTerm, Peer, PredId, Program, TermStore,
+    EvalBudget, EvalError, EvalOptions, EvalSession, EvalStats, ExportedTerm, Peer, PredId,
+    Program, TermId, TermStore,
 };
 use rescue_net::sim::{SimConfig, SimNet};
 use rescue_net::{NetError, NetStats, NodeId, Outbox, PeerLogic};
-use rescue_telemetry::{merged, Absorb, Collector};
+use rescue_telemetry::{merged, Collector};
 use rustc_hash::FxHashMap;
 use std::fmt;
 
@@ -91,34 +91,25 @@ impl From<NetError> for DistError {
     }
 }
 
-/// One peer of the distributed evaluation.
+/// One peer of the distributed evaluation: the rules at one site, run on
+/// an [`EvalSession`] that every imported tuple batch resumes, plus the
+/// subscription protocol around it.
 pub struct EvalPeer {
     name: String,
     directory: FxHashMap<String, NodeId>,
     store: TermStore,
-    db: Database,
-    program: Program,
+    /// The local fixpoint over this site's rules: owns the database
+    /// (owned relations and cached copies of remote ones), the budget, the
+    /// options, the collector and the accumulated stats.
+    session: EvalSession,
     /// `(relation name, owner peer)` pairs this peer reads remotely.
     remote_deps: Vec<(String, String)>,
     subscribers: FxHashMap<PredId, Vec<NodeId>>,
+    /// Per-subscriber export watermarks: rows below were already shipped.
     watermarks: FxHashMap<(PredId, NodeId), usize>,
-    /// Saturation watermarks for incremental local evaluation: rows below
-    /// them are already closed under the local rules.
-    eval_marks: FxHashMap<PredId, usize>,
-    budget: EvalBudget,
-    stats: EvalStats,
     error: Option<EvalError>,
     /// Tuple batches this peer sent (for experiment reporting).
     tuples_sent: u64,
-    collector: Collector,
-    /// Engine options for this peer's local fixpoints. Peers already run
-    /// on separate transport threads; with `eval.threads > 1` each peer's
-    /// own fixpoint additionally fans out onto a worker pool.
-    eval: EvalOptions,
-    /// Compiled plans + worker pool, reused across the fixpoint this peer
-    /// re-runs for every tuple batch — the program never changes between
-    /// batches, so each re-run is a guaranteed cache hit.
-    eval_cache: EvalCache,
 }
 
 impl EvalPeer {
@@ -149,33 +140,28 @@ impl EvalPeer {
             name: name.to_owned(),
             directory,
             store,
-            db: Database::new(),
-            program,
+            session: EvalSession::new(program, budget),
             remote_deps,
             subscribers: FxHashMap::default(),
             watermarks: FxHashMap::default(),
-            eval_marks: FxHashMap::default(),
-            budget,
-            stats: EvalStats::default(),
             error: None,
             tuples_sent: 0,
-            collector: Collector::disabled(),
-            eval: EvalOptions::default(),
-            eval_cache: EvalCache::new(),
         }
     }
 
     /// Record this peer's local fixpoints (as `fixpoint@<name>` spans with
     /// the engine's rounds nested beneath) into `collector`.
     pub fn set_collector(&mut self, collector: Collector) {
-        self.collector = collector;
+        self.session.set_collector(collector);
     }
 
     /// Set the engine options (worker threads, join order) for this
-    /// peer's local fixpoints. A pure performance knob: the distributed
-    /// fixpoint is byte-identical at any setting.
+    /// peer's local fixpoints. Peers already run on separate transport
+    /// threads; with `eval.threads > 1` each peer's own fixpoint
+    /// additionally fans out onto a worker pool. A pure performance knob:
+    /// the distributed fixpoint is byte-identical at any setting.
     pub fn set_eval_options(&mut self, eval: EvalOptions) {
-        self.eval = eval;
+        self.session.set_options(eval);
     }
 
     /// This peer's name.
@@ -190,7 +176,7 @@ impl EvalPeer {
 
     /// Accumulated local evaluation statistics.
     pub fn stats(&self) -> EvalStats {
-        self.stats.clone()
+        self.session.total_stats()
     }
 
     pub fn tuples_sent(&self) -> u64 {
@@ -204,29 +190,21 @@ impl EvalPeer {
         }
     }
 
-    fn run_local_fixpoint(&mut self) {
+    /// Resume the local fixpoint on whatever the session has queued. After
+    /// an error the peer stops evaluating.
+    fn resume(&mut self) {
         if self.error.is_some() {
             return;
         }
-        let mut peer_span = self.collector.is_enabled().then(|| {
-            self.collector
-                .span(format!("fixpoint@{}", self.name), "dqsq")
-        });
-        match seminaive_from_cached(
-            &self.program,
-            &mut self.store,
-            &mut self.db,
-            &self.budget,
-            &mut self.eval_marks,
-            &self.collector,
-            &self.eval,
-            &mut self.eval_cache,
-        ) {
+        let collector = self.session.collector();
+        let mut peer_span = collector
+            .is_enabled()
+            .then(|| collector.span(format!("fixpoint@{}", self.name), "dqsq"));
+        match self.session.resume(&mut self.store, []) {
             Ok(s) => {
                 if let Some(sp) = peer_span.as_mut() {
                     sp.arg("facts_derived", s.facts_derived as u64);
                 }
-                self.stats.absorb(&s);
             }
             Err(e) => self.error = Some(e),
         }
@@ -244,13 +222,13 @@ impl EvalPeer {
     }
 
     fn flush_one(&mut self, pred: PredId, node: NodeId, out: &mut Outbox<DMsg>) {
-        let len = self.db.count(pred);
+        let db = self.session.database();
+        let len = db.count(pred);
         let wm = self.watermarks.entry((pred, node)).or_insert(0);
         if *wm >= len {
             return;
         }
-        let rows: Vec<Vec<ExportedTerm>> = self
-            .db
+        let rows: Vec<Vec<ExportedTerm>> = db
             .relation(pred)
             .expect("nonzero count implies relation")
             .rows()[*wm..len]
@@ -281,7 +259,7 @@ impl EvalPeer {
             name: n,
             peer: Peer(p),
         };
-        match self.db.relation(pred) {
+        match self.session.database().relation(pred) {
             None => Vec::new(),
             Some(rel) => rel
                 .rows()
@@ -295,11 +273,11 @@ impl EvalPeer {
     /// as `(name, rows)` pairs. Cached copies of remote relations are
     /// excluded — they are the owner's facts, shipped here.
     pub fn owned_facts(&self) -> Vec<(String, Vec<Vec<ExportedTerm>>)> {
+        let db = self.session.database();
         let mut outv = Vec::new();
-        for pred in self.db.predicates() {
+        for pred in db.predicates() {
             if self.store.sym_str(pred.peer.0) == self.name {
-                let rows = self
-                    .db
+                let rows = db
                     .relation(pred)
                     .expect("listed predicate exists")
                     .rows()
@@ -314,10 +292,11 @@ impl EvalPeer {
 
     /// Number of facts this peer owns / caches.
     pub fn fact_counts(&self) -> (usize, usize) {
+        let db = self.session.database();
         let mut owned = 0;
         let mut cached = 0;
-        for pred in self.db.predicates() {
-            let n = self.db.count(pred);
+        for pred in db.predicates() {
+            let n = db.count(pred);
             if self.store.sym_str(pred.peer.0) == self.name {
                 owned += n;
             } else {
@@ -330,7 +309,8 @@ impl EvalPeer {
 
 impl PeerLogic<DMsg> for EvalPeer {
     fn on_start(&mut self, out: &mut Outbox<DMsg>) {
-        self.run_local_fixpoint();
+        // The first resume saturates the site's own facts and rules.
+        self.resume();
         for (name, peer) in &self.remote_deps {
             let Some(&node) = self.directory.get(peer) else {
                 // Unknown peer: the relation stays empty, matching a site
@@ -359,19 +339,34 @@ impl PeerLogic<DMsg> for EvalPeer {
                 self.flush_one(pred, from, out);
             }
             DMsg::Tuples { name, peer, rows } => {
+                // Imports count against the fact budget like derivations;
+                // a batch of duplicates resumes nothing and ships nothing.
                 let pred = self.pred(&name, &peer);
-                let mut any_new = false;
                 for row in rows {
-                    let ids: Box<[rescue_datalog::TermId]> =
-                        row.iter().map(|t| self.store.import(t)).collect();
-                    any_new |= self.db.insert(pred, ids);
+                    let ids: Box<[TermId]> = row.iter().map(|t| self.store.import(t)).collect();
+                    self.session.push_fact(pred, ids);
                 }
-                if any_new {
-                    self.run_local_fixpoint();
-                    self.flush(out);
-                }
+                self.resume();
+                self.flush(out);
             }
         }
+    }
+}
+
+/// The transport a distributed run executes on. Both run the same
+/// [`EvalPeer`]s and reach the same distributed fixpoint.
+#[derive(Clone, Copy, Debug)]
+pub enum Transport {
+    /// The deterministic, seeded network simulator.
+    Sim(SimConfig),
+    /// One OS thread per peer over crossbeam channels: delivery order is
+    /// up to the scheduler.
+    Threaded,
+}
+
+impl Default for Transport {
+    fn default() -> Self {
+        Transport::Sim(SimConfig::default())
     }
 }
 
@@ -379,7 +374,7 @@ impl PeerLogic<DMsg> for EvalPeer {
 #[derive(Clone, Debug, Default)]
 pub struct DistOptions {
     pub budget: EvalBudget,
-    pub sim: SimConfig,
+    pub transport: Transport,
     /// Telemetry sink shared by the transport and every peer's local
     /// engine (disabled by default).
     pub collector: Collector,
@@ -441,7 +436,8 @@ impl DistRun {
 
     /// Aggregate local-engine statistics over all peers.
     pub fn total_stats(&self) -> EvalStats {
-        merged(self.peers.iter().map(|p| &p.stats))
+        let per_peer: Vec<EvalStats> = self.peers.iter().map(EvalPeer::stats).collect();
+        merged(&per_peer)
     }
 
     /// Dashboard rows from the per-peer recordings (empty unless the run
@@ -528,8 +524,8 @@ pub fn build_peers(
     (peers, directory)
 }
 
-/// Run the distributed naive evaluation of `program` on the simulated
-/// network until the distributed fixpoint.
+/// Run the distributed naive evaluation of `program` on the transport
+/// `opts` selects, until the distributed fixpoint.
 pub fn run_distributed(
     program: &Program,
     store: &TermStore,
@@ -548,100 +544,25 @@ pub fn run_distributed(
         }
         p.set_eval_options(opts.eval);
     }
-    let mut net = SimNet::new(peers, opts.sim, dmsg_size);
-    net.set_collector(opts.collector.clone());
-    if !recordings.is_empty() {
-        net.set_peer_collectors(recordings.iter().map(|(_, c)| c.clone()).collect());
-    }
-    let stats = net.run()?;
-    let peers = net.into_peers();
+    let peer_collectors: Vec<Collector> = recordings.iter().map(|(_, c)| c.clone()).collect();
+    let (peers, net) = match opts.transport {
+        Transport::Sim(config) => {
+            let mut sim = SimNet::new(peers, config, dmsg_size);
+            sim.set_collector(opts.collector.clone());
+            if !peer_collectors.is_empty() {
+                sim.set_peer_collectors(peer_collectors);
+            }
+            let stats = sim.run()?;
+            (sim.into_peers(), stats)
+        }
+        Transport::Threaded => {
+            rescue_net::threaded::run_threaded(peers, dmsg_size, &opts.collector, peer_collectors)?
+        }
+    };
     record_peer_facts(&peers, &recordings);
     let run = DistRun {
         peers,
-        net: stats,
-        recordings,
-    };
-    if let Some(e) = run.first_error() {
-        return Err(e);
-    }
-    Ok(run)
-}
-
-/// Same as [`run_distributed`] but on real threads (crossbeam transport).
-pub fn run_distributed_threaded(
-    program: &Program,
-    store: &TermStore,
-    budget: EvalBudget,
-) -> Result<DistRun, DistError> {
-    run_distributed_threaded_traced(program, store, budget, &Collector::disabled())
-}
-
-/// [`run_distributed_threaded`] with telemetry: each peer thread records
-/// its local fixpoints and the transport records per-message flows.
-pub fn run_distributed_threaded_traced(
-    program: &Program,
-    store: &TermStore,
-    budget: EvalBudget,
-    collector: &Collector,
-) -> Result<DistRun, DistError> {
-    run_distributed_threaded_opts(program, store, budget, collector, &EvalOptions::default())
-}
-
-/// [`run_distributed_threaded_traced`] with explicit [`EvalOptions`]: the
-/// peers already run on separate transport threads, and each peer's local
-/// fixpoint additionally fans out onto its own worker pool.
-pub fn run_distributed_threaded_opts(
-    program: &Program,
-    store: &TermStore,
-    budget: EvalBudget,
-    collector: &Collector,
-    eval: &EvalOptions,
-) -> Result<DistRun, DistError> {
-    let (mut peers, _) = build_peers(program, store, budget);
-    for p in &mut peers {
-        p.set_collector(collector.clone());
-        p.set_eval_options(*eval);
-    }
-    let (peers, stats) = rescue_net::threaded::run_threaded_traced(peers, dmsg_size, collector)?;
-    let run = DistRun {
-        peers,
-        net: stats,
-        recordings: Vec::new(),
-    };
-    if let Some(e) = run.first_error() {
-        return Err(e);
-    }
-    Ok(run)
-}
-
-/// [`run_distributed_threaded_opts`] with one collector per peer: each
-/// peer thread records into its own namespaced recording (Lamport clocks
-/// on every envelope) and the run comes back with
-/// [`DistRun::recordings`] populated for causal merging. `collector`
-/// still receives the run-level [`NetStats`] fold.
-pub fn run_distributed_threaded_per_peer(
-    program: &Program,
-    store: &TermStore,
-    budget: EvalBudget,
-    collector: &Collector,
-    eval: &EvalOptions,
-) -> Result<DistRun, DistError> {
-    let (mut peers, _) = build_peers(program, store, budget);
-    let recordings = per_peer_collectors(&peers);
-    for (p, (_, c)) in peers.iter_mut().zip(&recordings) {
-        p.set_collector(c.clone());
-        p.set_eval_options(*eval);
-    }
-    let (peers, stats) = rescue_net::threaded::run_threaded_collectors(
-        peers,
-        dmsg_size,
-        recordings.iter().map(|(_, c)| c.clone()).collect(),
-        collector,
-    )?;
-    record_peer_facts(&peers, &recordings);
-    let run = DistRun {
-        peers,
-        net: stats,
+        net,
         recordings,
     };
     if let Some(e) = run.first_error() {
@@ -710,10 +631,10 @@ mod tests {
         let mut results = Vec::new();
         for seed in [1, 2, 3] {
             let opts = DistOptions {
-                sim: SimConfig {
+                transport: Transport::Sim(SimConfig {
                     seed,
                     ..Default::default()
-                },
+                }),
                 ..Default::default()
             };
             let run = run_distributed(&prog, &st, &opts).unwrap();
@@ -725,16 +646,36 @@ mod tests {
         assert_eq!(results[1], results[2]);
     }
 
+    /// Every transport × per-peer-trace combination the one
+    /// [`run_distributed`] entry point accepts.
+    fn all_run_options() -> Vec<DistOptions> {
+        let mut all = Vec::new();
+        for transport in [Transport::default(), Transport::Threaded] {
+            for per_peer_trace in [false, true] {
+                all.push(DistOptions {
+                    transport,
+                    per_peer_trace,
+                    ..Default::default()
+                });
+            }
+        }
+        all
+    }
+
     #[test]
     fn threaded_matches_sim() {
         let mut st = TermStore::new();
         let prog = parse_program(FIG3_WITH_DATA, &mut st).unwrap();
         let sim = run_distributed(&prog, &st, &DistOptions::default()).unwrap();
-        let thr = run_distributed_threaded(&prog, &st, EvalBudget::default()).unwrap();
-        assert_eq!(
-            rows_to_strings(sim.facts_of("R", "r")),
-            rows_to_strings(thr.facts_of("R", "r"))
-        );
+        for opts in all_run_options() {
+            let run = run_distributed(&prog, &st, &opts).unwrap();
+            assert_eq!(
+                rows_to_strings(sim.facts_of("R", "r")),
+                rows_to_strings(run.facts_of("R", "r")),
+                "{opts:?}"
+            );
+            assert_eq!(run.fact_totals(), sim.fact_totals(), "{opts:?}");
+        }
     }
 
     #[test]
@@ -789,21 +730,21 @@ mod tests {
     fn threaded_per_peer_trace_merges_causally() {
         let mut st = TermStore::new();
         let prog = parse_program(FIG3_WITH_DATA, &mut st).unwrap();
-        let run = run_distributed_threaded_per_peer(
-            &prog,
-            &st,
-            EvalBudget::default(),
-            &Collector::disabled(),
-            &EvalOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(rows_to_strings(run.facts_of("R", "r")), expected_r());
-        assert_eq!(run.recordings.len(), 3);
-        let merged = run.merged_trace().expect("recordings present");
-        assert_eq!(merged.unresolved, 0);
-        let summary = rescue_telemetry::json::validate_trace(&merged.json).unwrap();
-        assert_eq!(summary.processes, 3);
-        assert_eq!(summary.unmatched_sends, 0);
+        for opts in all_run_options() {
+            let run = run_distributed(&prog, &st, &opts).unwrap();
+            assert_eq!(rows_to_strings(run.facts_of("R", "r")), expected_r());
+            if !opts.per_peer_trace {
+                assert!(run.recordings.is_empty(), "{opts:?}");
+                assert!(run.merged_trace().is_none(), "{opts:?}");
+                continue;
+            }
+            assert_eq!(run.recordings.len(), 3, "{opts:?}");
+            let merged = run.merged_trace().expect("recordings present");
+            assert_eq!(merged.unresolved, 0, "{opts:?}");
+            let summary = rescue_telemetry::json::validate_trace(&merged.json).unwrap();
+            assert_eq!(summary.processes, 3, "{opts:?}");
+            assert_eq!(summary.unmatched_sends, 0, "{opts:?}");
+        }
     }
 
     #[test]
@@ -832,6 +773,38 @@ mod tests {
                 assert!(matches!(error, EvalError::FactBudgetExceeded { .. }));
             }
             other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn imported_tuples_count_against_the_fact_budget() {
+        // `b` derives nothing (`Never@b` is empty) but caches both remote
+        // relations: 15 + 15 imported rows against a 20-fact budget.
+        let mut src = String::new();
+        for i in 0..15 {
+            src.push_str(&format!("S@a(s{i}). T@c(t{i}).\n"));
+        }
+        src.push_str("Q@b(X) :- S@a(X), Never@b(X).\n");
+        src.push_str("Q@b(X) :- T@c(X), Never@b(X).\n");
+        let mut st = TermStore::new();
+        let prog = parse_program(&src, &mut st).unwrap();
+        for transport in [Transport::default(), Transport::Threaded] {
+            let opts = DistOptions {
+                budget: EvalBudget {
+                    max_facts: 20,
+                    ..Default::default()
+                },
+                transport,
+                ..Default::default()
+            };
+            match run_distributed(&prog, &st, &opts) {
+                Err(DistError::Eval { peer, error }) => {
+                    assert_eq!(peer, "b");
+                    assert_eq!(error, EvalError::FactBudgetExceeded { limit: 20 });
+                }
+                Err(other) => panic!("unexpected error {other:?}"),
+                Ok(run) => panic!("expected budget error, b caches {:?}", run.fact_totals()),
+            }
         }
     }
 }

@@ -10,7 +10,9 @@
 //! "shipped sup" arrows of the paper.
 
 use crate::dist::{run_distributed, DistError, DistOptions, DistRun};
-use rescue_datalog::{Atom, Database, Peer, PredId, Program, Rule, Subst, TermId, TermStore};
+use rescue_datalog::{
+    filter_answers, Atom, Database, Peer, PredId, Program, Rule, TermId, TermStore,
+};
 use rescue_qsq::{qsq_answer, split_edb_facts, QsqError, RelKind, RewriteOutput};
 use rustc_hash::FxHashMap;
 use std::fmt;
@@ -149,21 +151,16 @@ pub fn dqsq_distributed_with(
 
     let run = run_distributed(&dist, store, opts)?;
 
-    // Answers: rows of Q^a at its owner matching the query pattern.
+    // Answers: rows of Q^a at its owner, imported into the caller's store,
+    // matching the query pattern.
     let name = store.sym_str(rw.answer_pred.name).to_owned();
     let peer = store.sym_str(rw.answer_pred.peer.0).to_owned();
-    let mut answers = Vec::new();
+    let mut answer_db = Database::new();
     for row in run.facts_of(&name, &peer) {
-        let ids: Vec<TermId> = row.iter().map(|t| store.import(t)).collect();
-        let mut s = Subst::new();
-        if ids
-            .iter()
-            .zip(rw.answer_atom.args.iter())
-            .all(|(&g, &p)| store.match_term(p, g, &mut s))
-        {
-            answers.push(ids);
-        }
+        let ids: Box<[TermId]> = row.iter().map(|t| store.import(t)).collect();
+        answer_db.insert(rw.answer_pred, ids);
     }
+    let answers = filter_answers(&answer_db, store, &rw.answer_atom);
     let materialized = dist_breakdown(&run);
     Ok(DqsqOutcome {
         answers,

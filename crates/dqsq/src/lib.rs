@@ -20,9 +20,8 @@ pub mod export;
 pub mod protocol;
 
 pub use dist::{
-    build_peers, dmsg_size, run_distributed, run_distributed_threaded,
-    run_distributed_threaded_opts, run_distributed_threaded_traced, DMsg, DistError, DistOptions,
-    DistRun, EvalPeer,
+    build_peers, dmsg_size, run_distributed, DMsg, DistError, DistOptions, DistRun, EvalPeer,
+    Transport,
 };
 pub use dqsq::{
     check_theorem1, classify_name, delocalize, dist_breakdown, dqsq_distributed,

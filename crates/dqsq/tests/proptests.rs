@@ -9,7 +9,8 @@
 use proptest::prelude::*;
 use rescue_datalog::{parse_atom, parse_program, Database, EvalBudget, TermStore};
 use rescue_dqsq::{
-    canonical_rules, check_theorem1, export_program, protocol_rewrite, run_distributed, DistOptions,
+    canonical_rules, check_theorem1, export_program, protocol_rewrite, run_distributed,
+    DistOptions, Transport,
 };
 use rescue_net::sim::SimConfig;
 use rescue_qsq::split_edb_facts;
@@ -75,7 +76,7 @@ proptest! {
         rescue_datalog::seminaive(&prog, &mut store, &mut db, &EvalBudget::default()).unwrap();
         // Distributed fixpoint under a random interleaving.
         let opts = DistOptions {
-            sim: SimConfig { seed, ..Default::default() },
+            transport: Transport::Sim(SimConfig { seed, ..Default::default() }),
             ..Default::default()
         };
         let run = run_distributed(&prog, &store, &opts).unwrap();

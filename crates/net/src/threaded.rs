@@ -32,36 +32,6 @@ struct Shared {
     started: AtomicU64,
 }
 
-/// Run `peers` on one thread each until global quiescence. Returns each
-/// peer (for state inspection) plus the run statistics.
-pub fn run_threaded<M, P>(
-    peers: Vec<P>,
-    sizer: fn(&M) -> usize,
-) -> Result<(Vec<P>, NetStats), NetError>
-where
-    M: Send + 'static,
-    P: PeerLogic<M> + 'static,
-{
-    run_threaded_traced(peers, sizer, &Collector::disabled())
-}
-
-/// [`run_threaded`] recording per-message flow events (send/recv pairs
-/// across threads), per-edge counters, in-flight message samples and
-/// handler spans into `collector`. Each peer thread shows up as its own
-/// `tid` lane in the exported trace.
-pub fn run_threaded_traced<M, P>(
-    peers: Vec<P>,
-    sizer: fn(&M) -> usize,
-    collector: &Collector,
-) -> Result<(Vec<P>, NetStats), NetError>
-where
-    M: Send + 'static,
-    P: PeerLogic<M> + 'static,
-{
-    let shared = vec![collector.clone(); peers.len()];
-    run_threaded_collectors(peers, sizer, shared, collector)
-}
-
 /// What travels on a channel: `(from, flow, lamport, sent, msg)`. The
 /// flow id is allocated at send time — so the receiving thread can record
 /// the matching `f` event — the sender's Lamport clock is merged by the
@@ -71,24 +41,34 @@ where
 /// Observability envelope, excluded from the byte accounting.
 type Envelope<M> = (NodeId, u64, u64, Option<Instant>, M);
 
-/// [`run_threaded_traced`] with one collector per peer (in `NodeId`
-/// order): each thread records its sends, deliveries and handler spans
-/// into its own recording, Lamport clocks piggyback on the channel
-/// envelopes, and the final [`NetStats`] folds into `run_collector`. The
-/// per-peer recordings can then be causally merged
-/// (`rescue_telemetry::merge`) into one multi-process trace.
-pub fn run_threaded_collectors<M, P>(
+/// Run `peers` on one thread each until global quiescence. Returns each
+/// peer (for state inspection) plus the run statistics.
+///
+/// Telemetry is chosen the way [`SimNet`](crate::sim::SimNet) chooses it.
+/// With `peer_collectors` empty, every thread records its sends,
+/// deliveries and handler spans into `collector`, each peer thread on its
+/// own `tid` lane. Otherwise `peer_collectors` holds one collector per peer
+/// (in `NodeId` order): each thread records into its own, Lamport clocks
+/// piggyback on the channel envelopes, and the per-peer recordings can be
+/// causally merged (`rescue_telemetry::merge`) into one multi-process
+/// trace. Either way the final [`NetStats`] folds into `collector`.
+pub fn run_threaded<M, P>(
     peers: Vec<P>,
     sizer: fn(&M) -> usize,
-    collectors: Vec<Collector>,
-    run_collector: &Collector,
+    collector: &Collector,
+    peer_collectors: Vec<Collector>,
 ) -> Result<(Vec<P>, NetStats), NetError>
 where
     M: Send + 'static,
     P: PeerLogic<M> + 'static,
 {
     let n = peers.len();
-    assert_eq!(collectors.len(), n, "one collector per peer");
+    let collectors = if peer_collectors.is_empty() {
+        vec![collector.clone(); n]
+    } else {
+        assert_eq!(peer_collectors.len(), n, "one collector per peer");
+        peer_collectors
+    };
     let shared = Arc::new(Shared {
         outstanding: AtomicU64::new(0),
         messages: AtomicU64::new(0),
@@ -224,7 +204,7 @@ where
         sim_steps: 0,
         events_processed: shared.messages.load(Ordering::Relaxed),
     };
-    stats.fold_into(run_collector);
+    stats.fold_into(collector);
     Ok((out_peers, stats))
 }
 
@@ -263,7 +243,8 @@ mod tests {
                 start_token: i == 0,
             })
             .collect();
-        let (peers, stats) = run_threaded(peers, |_| 8).unwrap();
+        let (peers, stats) =
+            run_threaded(peers, |_| 8, &Collector::disabled(), Vec::new()).unwrap();
         assert_eq!(stats.messages, 100);
         assert_eq!(stats.bytes, 800);
         let total: u32 = peers.iter().map(|p| p.seen).sum();
@@ -305,7 +286,8 @@ mod tests {
         for _ in 0..7 {
             peers.push(Node::Leaf);
         }
-        let (peers, stats) = run_threaded(peers, |_| 1).unwrap();
+        let (peers, stats) =
+            run_threaded(peers, |_| 1, &Collector::disabled(), Vec::new()).unwrap();
         assert_eq!(stats.messages, 14);
         let Node::Root { got, .. } = &peers[0] else {
             panic!()
@@ -324,7 +306,7 @@ mod tests {
                 start_token: i == 0,
             })
             .collect();
-        let (_, stats) = run_threaded_traced(peers, |_| 8, &collector).unwrap();
+        let (_, stats) = run_threaded(peers, |_| 8, &collector, Vec::new()).unwrap();
         assert_eq!(stats.events_processed, stats.messages);
         assert_eq!(stats.sim_steps, 0);
         let snap = collector.snapshot();
@@ -351,8 +333,7 @@ mod tests {
                 start_token: i == 0,
             })
             .collect();
-        let (_, stats) =
-            run_threaded_collectors(peers, |_| 8, collectors.clone(), &run_collector).unwrap();
+        let (_, stats) = run_threaded(peers, |_| 8, &run_collector, collectors.clone()).unwrap();
         assert_eq!(
             run_collector.snapshot().counter("net.messages"),
             stats.messages
@@ -375,7 +356,8 @@ mod tests {
     #[test]
     fn empty_network_terminates_immediately() {
         let peers: Vec<RingPeer> = vec![];
-        let (_, stats) = run_threaded(peers, |_: &u32| 1).unwrap();
+        let (_, stats) =
+            run_threaded(peers, |_: &u32| 1, &Collector::disabled(), Vec::new()).unwrap();
         assert_eq!(stats.messages, 0);
     }
 }

@@ -4,8 +4,8 @@
 
 use crate::rewrite::{rewrite, RelKind, RewriteError, RewriteOutput};
 use rescue_datalog::{
-    seminaive_traced_opts, Atom, Collector, Database, EvalBudget, EvalError, EvalOptions,
-    EvalStats, PredId, Program, Rule, Subst, TermId, TermStore,
+    filter_answers, seminaive_with, Atom, Collector, Database, EvalBudget, EvalError, EvalOptions,
+    EvalStats, PredId, Program, Rule, TermId, TermStore,
 };
 use std::fmt;
 
@@ -127,43 +127,29 @@ pub fn qsq_answer(
     db: &mut Database,
     budget: &EvalBudget,
 ) -> Result<QsqRun, QsqError> {
-    qsq_answer_traced(program, query, store, db, budget, &Collector::disabled())
-}
-
-/// [`qsq_answer`] recording the rewrite and fixpoint phases as spans (with
-/// the engine's per-round and per-rule spans nested beneath) into
-/// `collector`.
-pub fn qsq_answer_traced(
-    program: &Program,
-    query: &Atom,
-    store: &mut TermStore,
-    db: &mut Database,
-    budget: &EvalBudget,
-    collector: &Collector,
-) -> Result<QsqRun, QsqError> {
-    qsq_answer_traced_opts(
+    qsq_answer_with(
         program,
         query,
         store,
         db,
         budget,
-        collector,
         &EvalOptions::default(),
+        &Collector::disabled(),
     )
 }
 
-/// [`qsq_answer_traced`] with explicit [`EvalOptions`]: the fixpoint over
-/// the rewritten program runs on the configured worker pool (same answers
-/// and stats at any thread count).
-#[allow(clippy::too_many_arguments)]
-pub fn qsq_answer_traced_opts(
+/// [`qsq_answer`] with explicit [`EvalOptions`] for the fixpoint over the
+/// rewritten program (same answers and stats at any thread count) and a
+/// telemetry sink recording the rewrite and fixpoint phases as spans, with
+/// the engine's per-round and per-rule spans nested beneath.
+pub fn qsq_answer_with(
     program: &Program,
     query: &Atom,
     store: &mut TermStore,
     db: &mut Database,
     budget: &EvalBudget,
-    collector: &Collector,
     options: &EvalOptions,
+    collector: &Collector,
 ) -> Result<QsqRun, QsqError> {
     let (rules, edb) = split_edb_facts(program);
     for (pred, row) in edb {
@@ -177,7 +163,7 @@ pub fn qsq_answer_traced_opts(
     let mut eval_span = collector
         .is_enabled()
         .then(|| collector.span("qsq eval", "qsq"));
-    let stats = seminaive_traced_opts(&rw.program, store, db, budget, collector, options)?;
+    let stats = seminaive_with(&rw.program, store, db, budget, options, collector)?;
     if let Some(sp) = eval_span.as_mut() {
         sp.arg("facts_derived", stats.facts_derived as u64);
     }
@@ -190,25 +176,6 @@ pub fn qsq_answer_traced_opts(
         materialized,
         rewrite: rw,
     })
-}
-
-/// Rows of `pattern.pred` matching `pattern` (ground positions must agree,
-/// function structure is matched recursively).
-pub fn filter_answers(db: &Database, store: &TermStore, pattern: &Atom) -> Vec<Vec<TermId>> {
-    match db.relation(pattern.pred) {
-        None => Vec::new(),
-        Some(rel) => rel
-            .rows()
-            .iter()
-            .filter(|row| {
-                let mut s = Subst::new();
-                row.iter()
-                    .zip(pattern.args.iter())
-                    .all(|(&g, &p)| store.match_term(p, g, &mut s))
-            })
-            .map(|row| row.to_vec())
-            .collect(),
-    }
 }
 
 /// Evaluate the *original* program naively (the unoptimized reference) and

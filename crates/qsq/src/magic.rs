@@ -19,10 +19,11 @@
 //! equivalence on every program family we have.
 
 use crate::adorn::{adorn_args, AdornedPred, Adornment};
-use crate::eval::{filter_answers, split_edb_facts, Materialized, QsqError};
+use crate::eval::{split_edb_facts, Materialized, QsqError};
 use crate::rewrite::RewriteError;
 use rescue_datalog::{
-    seminaive, Atom, Database, EvalBudget, EvalStats, PredId, Program, Rule, Sym, TermId, TermStore,
+    filter_answers, seminaive, Atom, Database, EvalBudget, EvalStats, PredId, Program, Rule, Sym,
+    TermId, TermStore,
 };
 use rustc_hash::{FxHashMap, FxHashSet};
 

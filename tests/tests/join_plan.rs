@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 use rescue_datalog::{
-    seminaive_opts, Database, EvalBudget, EvalOptions, EvalStats, JoinOrder, TermStore,
+    seminaive_with, Collector, Database, EvalBudget, EvalOptions, EvalStats, JoinOrder, TermStore,
 };
 use rescue_diagnosis::{unfolding_program, EncodeOptions};
 use rescue_petri::{random_net, NetConfig, PetriNet};
@@ -45,7 +45,15 @@ fn unfold(net: &PetriNet, depth: u32, options: &EvalOptions) -> (EvalStats, Vec<
         max_term_depth: Some(depth),
         ..Default::default()
     };
-    let stats = seminaive_opts(&prog, &mut store, &mut db, &budget, options).unwrap();
+    let stats = seminaive_with(
+        &prog,
+        &mut store,
+        &mut db,
+        &budget,
+        options,
+        &Collector::disabled(),
+    )
+    .unwrap();
     let mut rows: Vec<String> = db
         .predicates()
         .into_iter()

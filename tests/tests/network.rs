@@ -2,8 +2,8 @@
 //! and the crossbeam thread-per-peer transport must compute identical
 //! fixpoints; delivery interleavings never change results.
 
-use rescue_datalog::{parse_program, EvalBudget, TermStore};
-use rescue_dqsq::{run_distributed, run_distributed_threaded, DistOptions};
+use rescue_datalog::{parse_program, TermStore};
+use rescue_dqsq::{run_distributed, DistOptions, Transport};
 use rescue_net::sim::{Delivery, SimConfig};
 
 const PROGRAM: &str = r#"
@@ -33,11 +33,11 @@ fn sim_fixpoint_is_interleaving_independent() {
     for seed in 0..10 {
         for delivery in [Delivery::FifoPerChannel, Delivery::Random] {
             let opts = DistOptions {
-                sim: SimConfig {
+                transport: Transport::Sim(SimConfig {
                     seed,
                     delivery,
                     ..Default::default()
-                },
+                }),
                 ..Default::default()
             };
             let run = run_distributed(&prog, &store, &opts).unwrap();
@@ -56,14 +56,26 @@ fn threaded_transport_matches_sim() {
     let mut store = TermStore::new();
     let prog = parse_program(PROGRAM, &mut store).unwrap();
     let sim = run_distributed(&prog, &store, &DistOptions::default()).unwrap();
+    // Every transport × per-peer-trace combination, the threaded ones
+    // repeated since their interleaving changes run to run.
     for _ in 0..3 {
-        let thr = run_distributed_threaded(&prog, &store, EvalBudget::default()).unwrap();
-        for (name, peer) in [("Ping", "a"), ("Pong", "b"), ("Out", "c")] {
-            assert_eq!(
-                facts_as_strings(&sim, name, peer),
-                facts_as_strings(&thr, name, peer),
-                "threaded vs sim on {name}@{peer}"
-            );
+        for transport in [Transport::default(), Transport::Threaded] {
+            for per_peer_trace in [false, true] {
+                let opts = DistOptions {
+                    transport,
+                    per_peer_trace,
+                    ..Default::default()
+                };
+                let run = run_distributed(&prog, &store, &opts).unwrap();
+                assert_eq!(run.recordings.len(), if per_peer_trace { 3 } else { 0 });
+                for (name, peer) in [("Ping", "a"), ("Pong", "b"), ("Out", "c")] {
+                    assert_eq!(
+                        facts_as_strings(&sim, name, peer),
+                        facts_as_strings(&run, name, peer),
+                        "{opts:?} vs sim on {name}@{peer}"
+                    );
+                }
+            }
         }
     }
 }
@@ -92,7 +104,11 @@ fn threaded_runs_a_diagnosis_program() {
         rw.seed_pred,
         rw.seed_row.to_vec(),
     )));
-    let run = run_distributed_threaded(&dist, &store, EvalBudget::default()).unwrap();
+    let opts = DistOptions {
+        transport: Transport::Threaded,
+        ..Default::default()
+    };
+    let run = run_distributed(&dist, &store, &opts).unwrap();
     let name = store.sym_str(rw.answer_pred.name).to_owned();
     let peer = store.sym_str(rw.answer_pred.peer.0).to_owned();
     let answers = run.facts_of(&name, &peer);

@@ -9,9 +9,8 @@
 
 use proptest::prelude::*;
 use rescue_datalog::{
-    explain, parse_program, seminaive_opts, seminaive_stratified_traced_opts,
-    seminaive_traced_opts, Database, EvalBudget, EvalOptions, EvalStats, JoinOrder, Program,
-    TermStore,
+    explain, parse_program, seminaive_stratified_with, seminaive_with, Database, EvalBudget,
+    EvalOptions, EvalStats, JoinOrder, Program, TermStore,
 };
 use rescue_diagnosis::{unfolding_program, EncodeOptions};
 use rescue_petri::{random_net, NetConfig, PetriNet};
@@ -52,7 +51,15 @@ fn run(
         max_term_depth: Some(depth),
         ..Default::default()
     };
-    let stats = seminaive_opts(prog, store, &mut db, &budget, options).unwrap();
+    let stats = seminaive_with(
+        prog,
+        store,
+        &mut db,
+        &budget,
+        options,
+        &Collector::disabled(),
+    )
+    .unwrap();
     let mut rows: Vec<String> = Vec::new();
     let mut witness_targets = Vec::new();
     for pred in db.predicates() {
@@ -184,13 +191,13 @@ fn pool_engages_on_the_telecom_unfolding_and_changes_nothing() {
         let mut store = base_store.clone();
         let mut db = Database::new();
         let collector = Collector::enabled();
-        let stats = seminaive_traced_opts(
+        let stats = seminaive_with(
             &prog,
             &mut store,
             &mut db,
             &budget,
-            &collector,
             &EvalOptions::with_threads(threads),
+            &collector,
         )
         .unwrap();
         let mut rows: Vec<String> = db
@@ -250,13 +257,13 @@ fn stratified_program_is_thread_invariant() {
         let mut store = TermStore::new();
         let prog = parse_program(src, &mut store).unwrap();
         let mut db = Database::new();
-        let stats = seminaive_stratified_traced_opts(
+        let stats = seminaive_stratified_with(
             &prog,
             &mut store,
             &mut db,
             &EvalBudget::default(),
-            &Collector::disabled(),
             &EvalOptions::with_threads(threads),
+            &Collector::disabled(),
         )
         .unwrap();
         let mut rows: Vec<String> = db

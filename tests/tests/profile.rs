@@ -17,7 +17,7 @@
 //!   postmortem ([`validate_flight`]).
 
 use rescue_datalog::{
-    seminaive_traced_opts, Database, EvalBudget, EvalOptions, EvalStats, Program, TermStore,
+    seminaive_with, Database, EvalBudget, EvalOptions, EvalStats, Program, TermStore,
 };
 use rescue_diagnosis::{unfolding_program, AlarmSeq, DiagnosisSession, EncodeOptions};
 use rescue_petri::{random_net, random_run, NetConfig, PetriNet};
@@ -55,7 +55,7 @@ fn run(
         ..EvalOptions::with_threads(threads)
     };
     let collector = Collector::enabled();
-    let stats = seminaive_traced_opts(prog, store, &mut db, &budget, &collector, &options).unwrap();
+    let stats = seminaive_with(prog, store, &mut db, &budget, &options, &collector).unwrap();
     let mut rows: Vec<String> = Vec::new();
     for pred in db.predicates() {
         let name = store.sym_str(pred.name).to_owned();
